@@ -148,8 +148,8 @@ std::string results_text(std::vector<service::SolveResult> results) {
 
 // --- 4. streaming admission vs the barrier, on a mixed-duration batch. ---
 //
-// The batch is one `optimal` request (n = 7: ~seconds of completion-order
-// enumeration) buried among short `wdeq` requests.  Client-observed latency
+// The batch is one `optimal` request (n = 11: ~0.2 s of branch-and-bound)
+// buried among short `wdeq` requests.  Client-observed latency
 // of request i is "when can the client act on result i":
 //   * barrier style (v1 solve_batch): the call returns the whole vector at
 //     once, so every request's latency is the full batch wall time;
@@ -164,7 +164,7 @@ bool run_streaming_vs_barrier(const service::SolverRegistry& registry,
   support::Rng rng(config.seed + 7);
   core::GeneratorConfig long_config;
   long_config.family = core::Family::Uniform;
-  long_config.num_tasks = 7;  // n! enumeration: a multi-second solve
+  long_config.num_tasks = 11;  // branch-and-bound: a ~0.2 s solve
   long_config.processors = 4.0;
   const auto long_handle = service::intern(core::generate(long_config, rng));
 
@@ -236,7 +236,7 @@ bool run_streaming_vs_barrier(const service::SolverRegistry& registry,
                  support::fmt_double(streaming_latencies.quantile(0.99) * 1e3),
                  support::fmt_double(long_latency)});
   std::printf(
-      "mixed-duration batch (1 optimal n=7 + %zu wdeq, %u threads):\n%s",
+      "mixed-duration batch (1 optimal n=11 + %zu wdeq, %u threads):\n%s",
       num_short, threads, table.to_string().c_str());
   const bool streaming_wins = p50_streaming < p50_barrier;
   std::printf("streaming admission: short-request p50 %.3f ms vs %.3f ms "

@@ -11,7 +11,10 @@
 /// * Incremental evaluation — an OrderLpEvaluator solves one prefix-sized
 ///   order LP per node (the prefix objective is an exact lower bound on what
 ///   those tasks contribute to any completion of the prefix), instead of one
-///   full-n LP per leaf.
+///   full-n LP per leaf.  Leaves take the warm-started value too; a leaf is
+///   re-solved from scratch only when that value comes within 1e-6
+///   (relative) of the incumbent, so the incumbent is always the exact,
+///   bit-reproducible `order_lp_objective` of its order.
 /// * Admissible bounds — a node's value is bounded below by
 ///     prefix LP  +  max(offset squashed area, per-task height)
 ///   over the remaining tasks, where the offset area is
@@ -110,7 +113,11 @@ struct BnbOptions {
 struct BnbStats {
   std::size_t nodes = 0;             ///< prefixes expanded (LP-evaluated)
   std::size_t leaves = 0;            ///< complete orders evaluated
-  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds included
+  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds and leaf
+                                     ///< re-solves included
+  std::size_t leaf_resolves = 0;     ///< leaves re-solved from scratch
+                                     ///< because their warm value came
+                                     ///< within 1e-6 of the incumbent
   std::size_t pruned_by_bound = 0;   ///< subtrees cut by the subset-DP bound
   std::size_t pruned_by_cut = 0;     ///< subtrees cut by the tail cuts:
                                      ///< busy-time inequality prunes (only
@@ -120,9 +127,13 @@ struct BnbStats {
 };
 
 struct BnbResult {
+  /// +inf, with an empty order, when no order LP reached optimality (a
+  /// numerical breakdown of the simplex, e.g. on widths near 0).
   double objective = 0.0;
   std::vector<std::size_t> order;  ///< an optimal completion order
-  ColumnSchedule schedule;         ///< populated if want_schedule
+  /// Populated if want_schedule and the order's full LP solved; empty
+  /// otherwise.
+  ColumnSchedule schedule;
   BnbStats stats;
   /// True when BnbOptions::cancel fired before the search finished; the
   /// objective/order are then the best incumbent, not the proven optimum.

@@ -5,9 +5,11 @@
 /// the best completion order.  For tiny n we solve the order LP for every
 /// permutation (deterministic, bit-reproducible run to run — the ground
 /// truth against which WDEQ's ratio, greedy's conjectured optimality
-/// (Conjecture 12) and Theorem 11 are checked); above the crossover the
-/// call delegates to the branch-and-bound of bnb.hpp, which searches the
-/// same space with pruning and opens n ≈ 15 to exact serving.
+/// (Conjecture 12) and Theorem 11 are checked, and the oracle the
+/// branch-and-bound tests compare against); above the crossover the call
+/// delegates to the branch-and-bound of bnb.hpp, which searches the same
+/// space with pruning.  The service's `optimal` solver calls
+/// branch_and_bound directly at every n.
 
 #include <vector>
 
@@ -37,9 +39,11 @@ struct OptimalOptions {
 };
 
 struct OptimalResult {
+  /// +inf, with an empty order, when no order LP reached optimality.
   double objective = 0.0;
   std::vector<std::size_t> order;    ///< the optimal completion order
-  ColumnSchedule schedule;           ///< populated if want_schedule
+  ColumnSchedule schedule;           ///< populated if want_schedule and
+                                     ///< the order's full LP solved
   /// Complete orders whose LP was evaluated: n! below the crossover, the
   /// branch-and-bound leaf count above it.
   std::size_t orders_tried = 0;

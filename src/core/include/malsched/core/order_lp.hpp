@@ -71,18 +71,24 @@ class IncrementalOrderLp;
 /// * the parent's *optimal simplex basis* — a push appends the new
 ///   position's columns and rows to the parent tableau (the new volume
 ///   variables' reduced columns are exactly the stored slack columns of the
-///   old capacity rows, so no basis-inverse solve is needed), repairs
-///   primal feasibility for the one new volume row, and re-optimizes in a
-///   handful of pivots instead of a from-scratch two-phase solve;
+///   old capacity rows, so no basis-inverse solve is needed), starts from
+///   the feasible basis that runs the new task alone at the end, and
+///   re-optimizes in a handful of pivots instead of a from-scratch
+///   two-phase solve;
 /// * the greedy capacity-profile state (Algorithm 3's water-level profile)
 ///   — `greedy_completion` probes where a candidate task would finish
 ///   against the current prefix without any LP work, which the search uses
 ///   to order sibling branches best-first.
 ///
 /// The warm-started value equals the prefix order LP optimum up to simplex
-/// tolerance; an *exact* push additionally re-solves from scratch so leaf
-/// values agree bit-for-bit with `order_lp_objective` (what the
-/// enumeration baseline computes).
+/// tolerance; an *exact* push additionally re-solves from scratch so the
+/// value agrees bit-for-bit with `order_lp_objective` (what the
+/// enumeration baseline computes).  Branch-and-bound pushes warm at every
+/// depth and re-solves a leaf itself only when it can beat the incumbent.
+///
+/// The warm-started LP lives in one flat tableau with per-depth snapshots
+/// in a reused arena: once the search has reached full depth, pushes and
+/// pops allocate nothing.
 class OrderLpEvaluator {
  public:
   explicit OrderLpEvaluator(const Instance& instance);
@@ -91,10 +97,10 @@ class OrderLpEvaluator {
   OrderLpEvaluator& operator=(OrderLpEvaluator&&) noexcept;
 
   /// Appends `task` (not already in the prefix) and returns the order LP
-  /// objective of the extended prefix.  exact = false (the branch-and-bound
-  /// interior default) returns the warm-started incremental value; exact
-  /// additionally re-solves from scratch and returns that bit-reproducible
-  /// value (used at leaves).
+  /// objective of the extended prefix.  exact = false (what
+  /// branch-and-bound uses at every depth) returns the warm-started
+  /// incremental value; exact re-solves from scratch instead and returns
+  /// that bit-reproducible value.
   double push(std::size_t task, bool exact = true);
   /// Removes the most recently pushed task.
   void pop();
@@ -119,7 +125,8 @@ class OrderLpEvaluator {
   std::vector<std::size_t> prefix_;
   std::vector<double> objectives_;        ///< objectives_[d]: depth d+1 value
   std::vector<double> volumes_;           ///< cumulative volume per depth
-  std::vector<CapacityProfile> profiles_; ///< profiles_[d]: after d tasks
+  /// profiles_[d]: after d tasks; slots past the depth are kept for reuse
+  std::vector<CapacityProfile> profiles_;
   std::unique_ptr<detail::IncrementalOrderLp> lp_;
   std::size_t lp_evaluations_ = 0;
 };

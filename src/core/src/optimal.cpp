@@ -54,8 +54,9 @@ OptimalResult optimal_by_enumeration(const Instance& instance,
 
   if (options.want_schedule && !result.order.empty()) {
     auto solved = solve_order_lp(instance, result.order);
-    MALSCHED_ENSURES(solved.optimal());
-    result.schedule = std::move(solved.schedule);
+    if (solved.optimal()) {
+      result.schedule = std::move(solved.schedule);
+    }
   }
   return result;
 }

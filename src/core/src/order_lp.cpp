@@ -1,7 +1,8 @@
 #include "malsched/core/order_lp.hpp"
 
 #include <algorithm>
-#include <cstdint>
+#include <cmath>
+#include <cstddef>
 #include <limits>
 #include <vector>
 
@@ -232,225 +233,302 @@ namespace detail {
 ///   L_k and x_{k,k} touch no old rows at all;
 /// * new rows are reduced against the basis in one pass (only the width
 ///   rows reference an old variable, L_j);
-/// * the new volume row enters with its artificial basic at V_k — the only
-///   infeasibility — so a phase-1 restricted to artificial cost followed
-///   by a re-priced phase 2 re-optimizes in a few pivots, not a
-///   from-scratch two-phase solve.
+/// * two pivots on the new columns make the extended basis feasible
+///   without any artificial variable: x_{k,k} basic in the volume row and
+///   L_k basic in its binding row (the (k,k) width row, or the capacity
+///   row when δ_eff = P) — the new task alone in a new last column at full
+///   width.  Old rows hold zeros in both columns, so these pivots touch
+///   only the new rows, and a re-priced phase 2 re-optimizes from there in
+///   a few pivots instead of a from-scratch two-phase solve.
 ///
-/// pop() restores the parent's full state from a per-depth snapshot.
+/// Storage is one flat row-major tableau whose column stride covers the
+/// full-depth LP, so appending a column is a strided write into rows that
+/// already have room.  push() first copies the parent's live rectangle
+/// (rows × columns, plus right-hand sides and basis) into a per-depth
+/// arena; pop() copies it back and truncates the append-only per-column
+/// and per-position bookkeeping.  Every buffer keeps its capacity across
+/// pops, so once the search has reached full depth pushes and pops
+/// allocate nothing.
 class IncrementalOrderLp {
  public:
   explicit IncrementalOrderLp(const Instance& instance)
-      : instance_(&instance), processors_(instance.processors()) {}
+      : instance_(&instance), processors_(instance.processors()) {
+    // Position k adds k + 3 columns (k slack-column copies, L_k, x_{k,k},
+    // the capacity slack) and 2 rows, plus k + 1 width rows and their
+    // slacks when its task has δ_eff < P.  The widest tableau puts the
+    // narrow tasks last.
+    const std::size_t n = instance.size();
+    std::size_t narrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      narrow += instance.effective_width(i) < processors_ ? 1 : 0;
+    }
+    std::size_t rows = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t width_rows = k + narrow >= n ? k + 1 : 0;
+      stride_ += k + 3 + width_rows;
+      rows += 2 + width_rows;
+    }
+    rhs_.reserve(rows);
+    basis_.reserve(rows);
+    costs_.reserve(stride_);
+    reduced_.reserve(stride_);
+    cap_slack_col_.reserve(n);
+    l_col_.reserve(n);
+    position_weights_.reserve(n);
+    tasks_.reserve(n);
+    frames_.reserve(n);
+  }
 
   double push(std::size_t task, bool solve = true) {
-    snapshots_.push_back(state_);
-    State& s = state_;
-    const std::size_t position = s.position_weights.size();
+    save_frame();
+    const std::size_t position = position_weights_.size();
     const Task& t = instance_->task(task);
     const double width = instance_->effective_width(task);
 
     // --- new columns -----------------------------------------------------
     // x_{k,j} for j < position: reduced column = capacity row j's slack
     // column (its only old-row coefficient is +1 in that row).
-    std::vector<std::size_t> x_cols(position + 1);
+    const std::size_t first_x = cols_;
     for (std::size_t j = 0; j < position; ++j) {
-      x_cols[j] = append_column_copy(s.cap_slack_col[j]);
+      append_column_copy(cap_slack_col_[j]);
     }
     // L_k and x_{k,k} appear in new rows only.
     const std::size_t l_col = append_zero_column();
-    x_cols[position] = append_zero_column();
-    s.l_col.push_back(l_col);
+    const std::size_t x_last = append_zero_column();
+    l_col_.push_back(l_col);
+    const auto x_col = [&](std::size_t j) {
+      return j == position ? x_last : first_x + j;
+    };
 
     // --- new rows (reduced against the current basis) --------------------
     // Capacity row k: x_{k,k} − P·L_k <= 0 — all-new variables, no
     // reduction needed.  Future pushes add their x_{·,k} into this row via
     // the slack-column copy above, which is why the slack column index is
     // recorded.
+    const std::size_t cap_row = rows_;
     {
-      const std::size_t row = append_row();
-      s.tab[row][x_cols[position]] = 1.0;
-      s.tab[row][l_col] = -processors_;
-      const std::size_t slack = append_zero_column();
-      s.tab[row][slack] = 1.0;
-      s.basis.push_back(slack);
-      s.rhs.push_back(0.0);
-      s.cap_slack_col.push_back(slack);
+      double* row = append_row(0.0);
+      row[x_last] = 1.0;
+      row[l_col] = -processors_;
+      cap_slack_col_.push_back(append_basic_column());
     }
     // Width rows x_{k,j} − δ·L_j <= 0 (skipped when the capacity row
     // already implies them).  For j < position they reference the old
-    // variable L_j and must be reduced if it is basic.
+    // variable L_j and must be reduced if it is basic.  binding_row is
+    // where L_k turns basic below: the (k,k) width row, or the capacity
+    // row when δ_eff = P.
+    std::size_t binding_row = cap_row;
     if (width < processors_) {
       for (std::size_t j = 0; j <= position; ++j) {
-        const std::size_t row = append_row();
-        s.rhs.push_back(0.0);
-        s.tab[row][x_cols[j]] = 1.0;
-        const std::size_t lj = j == position ? l_col : s.l_col[j];
-        s.tab[row][lj] += -width;
-        reduce_row_against_basis(row);
-        const std::size_t slack = append_zero_column();
-        s.tab[row][slack] = 1.0;
-        s.basis.push_back(slack);
+        if (j == position) {
+          binding_row = rows_;
+        }
+        double* row = append_row(0.0);
+        row[x_col(j)] = 1.0;
+        row[l_col_[j]] += -width;
+        reduce_last_row_against_basis();
+        append_basic_column();
       }
     }
-    // Volume row: Σ_j x_{k,j} = V_k — all-new variables; its artificial
-    // starts basic at V_k, the single primal infeasibility to repair.
+    // Volume row: Σ_j x_{k,j} = V_k — all-new variables.
+    const std::size_t volume_row = rows_;
     {
-      const std::size_t row = append_row();
+      double* row = append_row(t.volume);
       for (std::size_t j = 0; j <= position; ++j) {
-        s.tab[row][x_cols[j]] = 1.0;
+        row[x_col(j)] = 1.0;
       }
-      const std::size_t artificial = append_zero_column();
-      s.tab[row][artificial] = 1.0;
-      s.artificial[artificial] = 1;
-      s.basis.push_back(artificial);
-      s.rhs.push_back(t.volume);
+      basis_.push_back(x_last);
     }
-    s.position_weights.push_back(t.weight);
-    s.tasks.push_back(task);
+    // Feasible start: x_{k,k} = V_k and L_k = V_k / δ_eff, every other new
+    // basic variable a slack.  The new right-hand sides are ≥ 0 in exact
+    // arithmetic (the capacity slack is P·V_k/δ − V_k); a rounding residue
+    // below zero is clamped.
+    eliminate(volume_row, x_last);
+    eliminate(binding_row, l_col);
+    for (std::size_t i = cap_row; i < rows_; ++i) {
+      rhs_[i] = std::max(rhs_[i], 0.0);
+    }
+    position_weights_.push_back(t.weight);
+    tasks_.push_back(task);
     if (!solve) {
-      // Structure-only push (the caller wants a from-scratch value, e.g. a
-      // bit-reproducible leaf): the new artificial stays basic at V_k and
-      // is repaired by the next solving push's phase 1.
+      // Structure-only push (the caller wants a from-scratch value): the
+      // basis stays feasible, and the next solving push's phase 2
+      // re-optimizes every position.
       return 0.0;
     }
 
-    // --- phase 1 (artificial cost), then re-priced phase 2 ---------------
-    costs_.assign(s.cols, 0.0);
-    for (std::size_t c = 0; c < s.cols; ++c) {
-      if (s.artificial[c] != 0) {
-        costs_[c] = 1.0;
-      }
-    }
-    if (!optimize(/*allow_artificials=*/true)) {
-      return resolve_from_scratch();
-    }
-    double residual = 0.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      if (s.artificial[s.basis[i]] != 0) {
-        residual += s.rhs[i];
-      }
-    }
-    if (residual > kEps * std::max(1.0, t.volume)) {
-      // The order LP is always feasible; a positive residual means the
-      // warm-started basis drifted numerically.
-      return resolve_from_scratch();
-    }
-    costs_.assign(s.cols, 0.0);
+    // --- re-priced phase 2 ------------------------------------------------
+    costs_.assign(cols_, 0.0);
     double suffix_weight = 0.0;
-    for (std::size_t j = s.position_weights.size(); j-- > 0;) {
-      suffix_weight += s.position_weights[j];
-      costs_[s.l_col[j]] = suffix_weight;
+    for (std::size_t j = position_weights_.size(); j-- > 0;) {
+      suffix_weight += position_weights_[j];
+      costs_[l_col_[j]] = suffix_weight;
     }
-    if (!optimize(/*allow_artificials=*/false)) {
+    if (!optimize()) {
       return resolve_from_scratch();
     }
     double objective = 0.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      objective += costs_[s.basis[i]] * s.rhs[i];
+    for (std::size_t i = 0; i < rows_; ++i) {
+      objective += costs_[basis_[i]] * rhs_[i];
     }
     return objective;
   }
 
   void pop() {
-    MALSCHED_ASSERT(!snapshots_.empty());
-    state_ = std::move(snapshots_.back());
-    snapshots_.pop_back();
+    MALSCHED_ASSERT(!frames_.empty());
+    const Frame frame = frames_.back();
+    frames_.pop_back();
+    rows_ = frame.rows;
+    cols_ = frame.cols;
+    const double* saved = arena_.data() + frame.offset;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      std::copy_n(saved + i * cols_, cols_, row(i));
+    }
+    rhs_.resize(rows_);
+    std::copy_n(saved + rows_ * cols_, rows_, rhs_.begin());
+    basis_.resize(rows_);
+    std::copy_n(basis_arena_.begin() + static_cast<std::ptrdiff_t>(
+                                           frame.basis_offset),
+                rows_, basis_.begin());
+    cap_slack_col_.pop_back();
+    l_col_.pop_back();
+    position_weights_.pop_back();
+    tasks_.pop_back();
   }
 
  private:
-  struct State {
-    std::vector<std::vector<double>> tab;  ///< rows over columns
-    std::vector<double> rhs;
-    std::vector<std::size_t> basis;        ///< per row: basic column
-    std::vector<std::uint8_t> artificial;  ///< per column
-    std::vector<std::size_t> cap_slack_col;  ///< per position
-    std::vector<std::size_t> l_col;          ///< per position
-    std::vector<double> position_weights;
-    std::vector<std::size_t> tasks;          ///< pushed prefix, for fallback
-    std::size_t cols = 0;
-
-    [[nodiscard]] std::size_t rows() const noexcept { return tab.size(); }
+  /// Restore point of one push: the parent's dimensions and where its live
+  /// rectangle (then its right-hand sides) and basis sit in the arenas.
+  struct Frame {
+    std::size_t rows;
+    std::size_t cols;
+    std::size_t offset;
+    std::size_t basis_offset;
   };
 
   static constexpr double kEps = 1e-9;
   static constexpr double kSnap = 1e-12;
 
+  /// Drops numerical dust.  Written on |v| so it compiles to a mask, not
+  /// a data-dependent branch: tableau entries change sign constantly.
   [[nodiscard]] static double snap(double v) noexcept {
-    return (v <= kSnap && v >= -kSnap) ? 0.0 : v;
+    return std::fabs(v) <= kSnap ? 0.0 : v;
+  }
+
+  [[nodiscard]] double* row(std::size_t i) noexcept {
+    return tab_.data() + i * stride_;
+  }
+
+  void save_frame() {
+    Frame frame{rows_, cols_, 0, 0};
+    if (!frames_.empty()) {
+      const Frame& parent = frames_.back();
+      frame.offset = parent.offset + parent.rows * (parent.cols + 1);
+      frame.basis_offset = parent.basis_offset + parent.rows;
+    }
+    const std::size_t end = frame.offset + rows_ * (cols_ + 1);
+    if (arena_.size() < end) {
+      arena_.resize(end);
+    }
+    if (basis_arena_.size() < frame.basis_offset + rows_) {
+      basis_arena_.resize(frame.basis_offset + rows_);
+    }
+    double* saved = arena_.data() + frame.offset;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      std::copy_n(row(i), cols_, saved + i * cols_);
+    }
+    std::copy_n(rhs_.begin(), rows_, saved + rows_ * cols_);
+    std::copy_n(basis_.begin(), rows_,
+                basis_arena_.begin() +
+                    static_cast<std::ptrdiff_t>(frame.basis_offset));
+    frames_.push_back(frame);
   }
 
   std::size_t append_zero_column() {
-    for (auto& row : state_.tab) {
-      row.push_back(0.0);
+    MALSCHED_ASSERT(cols_ < stride_);
+    for (std::size_t i = 0; i < rows_; ++i) {
+      row(i)[cols_] = 0.0;
     }
-    state_.artificial.push_back(0);
-    return state_.cols++;
+    return cols_++;
   }
 
   std::size_t append_column_copy(std::size_t source) {
-    for (auto& row : state_.tab) {
-      row.push_back(row[source]);
+    MALSCHED_ASSERT(cols_ < stride_);
+    for (std::size_t i = 0; i < rows_; ++i) {
+      double* r = row(i);
+      r[cols_] = r[source];
     }
-    state_.artificial.push_back(0);
-    return state_.cols++;
+    return cols_++;
   }
 
-  std::size_t append_row() {
-    state_.tab.emplace_back(state_.cols, 0.0);
-    return state_.rows() - 1;
+  /// Appends the slack column of the last row, basic in that row.
+  std::size_t append_basic_column() {
+    const std::size_t col = append_zero_column();
+    row(rows_ - 1)[col] = 1.0;
+    basis_.push_back(col);
+    return col;
   }
 
-  /// Expresses a freshly appended row (coefficients *and* right-hand side)
-  /// in the current basis: one pass over the old rows suffices because
-  /// every reduced tableau row carries an identity on the basis columns.
-  void reduce_row_against_basis(std::size_t row) {
-    State& s = state_;
-    auto& target = s.tab[row];
-    for (std::size_t i = 0; i + 1 < s.rows(); ++i) {
-      const double factor = target[s.basis[i]];
+  /// Appends a row of zeros with right-hand side `rhs`; its basic column
+  /// is appended by the caller.
+  double* append_row(double rhs) {
+    ++rows_;
+    if (tab_.size() < rows_ * stride_) {
+      tab_.resize(rows_ * stride_);
+    }
+    double* r = row(rows_ - 1);
+    std::fill_n(r, cols_, 0.0);
+    rhs_.push_back(rhs);
+    return r;
+  }
+
+  /// Expresses the freshly appended last row (coefficients *and*
+  /// right-hand side) in the current basis: one pass over the old rows
+  /// suffices because every reduced tableau row carries an identity on the
+  /// basis columns.
+  void reduce_last_row_against_basis() {
+    const std::size_t last = rows_ - 1;
+    double* target = row(last);
+    for (std::size_t i = 0; i < last; ++i) {
+      const double factor = target[basis_[i]];
       if (factor == 0.0) {
         continue;
       }
-      const auto& source = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
+      const double* source = row(i);
+      for (std::size_t c = 0; c < cols_; ++c) {
         target[c] = snap(target[c] - factor * source[c]);
       }
-      target[s.basis[i]] = 0.0;
-      s.rhs[row] = snap(s.rhs[row] - factor * s.rhs[i]);
+      target[basis_[i]] = 0.0;
+      rhs_[last] = snap(rhs_[last] - factor * rhs_[i]);
     }
   }
 
   /// Primal simplex on `costs_` from the current (feasible) basis.
   /// Returns false when the iteration budget is exhausted.
-  bool optimize(bool allow_artificials) {
-    State& s = state_;
-    reduced_ = costs_;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      const double cb = costs_[s.basis[i]];
+  bool optimize() {
+    reduced_.assign(costs_.begin(), costs_.end());
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const double cb = costs_[basis_[i]];
       if (cb == 0.0) {
         continue;
       }
-      const auto& row = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        if (row[c] != 0.0) {
-          reduced_[c] = snap(reduced_[c] - cb * row[c]);
+      const double* r = row(i);
+      for (std::size_t c = 0; c < cols_; ++c) {
+        if (r[c] != 0.0) {
+          reduced_[c] = snap(reduced_[c] - cb * r[c]);
         }
       }
     }
 
-    const std::size_t cap = 50 * (s.rows() + s.cols) + 200;
+    const std::size_t cap = 50 * (rows_ + cols_) + 200;
     const std::size_t bland_after = cap / 2;
     for (std::size_t iteration = 0;; ++iteration) {
       if (iteration >= cap) {
         return false;
       }
       const bool use_bland = iteration >= bland_after;
-      std::size_t entering = s.cols;
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        if (!allow_artificials && s.artificial[c] != 0) {
-          continue;
-        }
+      std::size_t entering = cols_;
+      for (std::size_t c = 0; c < cols_; ++c) {
         if (reduced_[c] >= -kEps) {
           continue;
         }
@@ -458,86 +536,100 @@ class IncrementalOrderLp {
           entering = c;
           break;
         }
-        if (entering == s.cols || reduced_[c] < reduced_[entering]) {
+        if (entering == cols_ || reduced_[c] < reduced_[entering]) {
           entering = c;
         }
       }
-      if (entering == s.cols) {
+      if (entering == cols_) {
         return true;
       }
 
-      std::size_t leaving = s.rows();
-      for (std::size_t i = 0; i < s.rows(); ++i) {
-        const double coeff = s.tab[i][entering];
+      std::size_t leaving = rows_;
+      for (std::size_t i = 0; i < rows_; ++i) {
+        const double coeff = row(i)[entering];
         if (coeff <= kEps) {
           continue;
         }
-        if (leaving == s.rows()) {
+        if (leaving == rows_) {
           leaving = i;
           continue;
         }
-        const double lhs = s.rhs[i] * s.tab[leaving][entering];
-        const double rhs_cmp = s.rhs[leaving] * coeff;
+        const double lhs = rhs_[i] * row(leaving)[entering];
+        const double rhs_cmp = rhs_[leaving] * coeff;
         if (lhs < rhs_cmp ||
-            (!(rhs_cmp < lhs) && s.basis[i] < s.basis[leaving])) {
+            (!(rhs_cmp < lhs) && basis_[i] < basis_[leaving])) {
           leaving = i;
         }
       }
-      // Costs are non-negative (phase 1) or suffix weights (phase 2), so
-      // the LP is bounded below; a missing leaving row would mean the
-      // basis drifted — treat as a failed warm start.
-      if (leaving == s.rows()) {
+      // Costs are suffix weights, so the LP is bounded below; a missing
+      // leaving row would mean the basis drifted — treat as a failed warm
+      // start.
+      if (leaving == rows_) {
         return false;
       }
-      pivot(leaving, entering);
+      eliminate(leaving, entering);
+      const double cost_factor = reduced_[entering];
+      if (cost_factor != 0.0) {
+        const double* pivot_row = row(leaving);
+        for (std::size_t c = 0; c < cols_; ++c) {
+          reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
+        }
+        reduced_[entering] = 0.0;
+      }
     }
   }
 
-  void pivot(std::size_t row, std::size_t col) {
-    State& s = state_;
-    auto& pivot_row = s.tab[row];
+  /// Gauss-Jordan step on (row, col): `col` becomes basic in `row`.  The
+  /// pivot element may be negative (the feasible-start pivots); the
+  /// simplex loop only pivots on positive ones.
+  void eliminate(std::size_t pivot_index, std::size_t col) {
+    double* pivot_row = row(pivot_index);
     const double pivot_value = pivot_row[col];
-    for (double& v : pivot_row) {
-      v = snap(v / pivot_value);
+    for (std::size_t c = 0; c < cols_; ++c) {
+      pivot_row[c] = snap(pivot_row[c] / pivot_value);
     }
-    s.rhs[row] = snap(s.rhs[row] / pivot_value);
+    rhs_[pivot_index] = snap(rhs_[pivot_index] / pivot_value);
     pivot_row[col] = 1.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      if (i == row) {
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (i == pivot_index) {
         continue;
       }
-      const double factor = s.tab[i][col];
+      double* target = row(i);
+      const double factor = target[col];
       if (factor == 0.0) {
         continue;
       }
-      auto& target = s.tab[i];
-      for (std::size_t c = 0; c < s.cols; ++c) {
+      for (std::size_t c = 0; c < cols_; ++c) {
         target[c] = snap(target[c] - factor * pivot_row[c]);
       }
       target[col] = 0.0;
-      s.rhs[i] = snap(s.rhs[i] - factor * s.rhs[row]);
+      rhs_[i] = snap(rhs_[i] - factor * rhs_[pivot_index]);
     }
-    const double cost_factor = reduced_[col];
-    if (cost_factor != 0.0) {
-      for (std::size_t c = 0; c < s.cols; ++c) {
-        reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
-      }
-      reduced_[col] = 0.0;
-    }
-    s.basis[row] = col;
+    basis_[pivot_index] = col;
   }
 
   /// Warm-start failure fallback: the tableau stays primal feasible (every
   /// ratio-test pivot preserves feasibility), so future pushes remain
   /// valid; only this node's value is recomputed exactly.
   double resolve_from_scratch() {
-    return order_lp_objective(*instance_, state_.tasks);
+    return order_lp_objective(*instance_, tasks_);
   }
 
   const Instance* instance_;
   double processors_;
-  State state_;
-  std::vector<State> snapshots_;
+  std::size_t stride_ = 0;  ///< columns of the full-depth tableau
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> tab_;  ///< rows_ × stride_, row-major
+  std::vector<double> rhs_;
+  std::vector<std::size_t> basis_;        ///< per row: basic column
+  std::vector<std::size_t> cap_slack_col_;  ///< per position
+  std::vector<std::size_t> l_col_;          ///< per position
+  std::vector<double> position_weights_;
+  std::vector<std::size_t> tasks_;          ///< pushed prefix, for fallback
+  std::vector<Frame> frames_;               ///< one per push
+  std::vector<double> arena_;               ///< saved rectangles + rhs
+  std::vector<std::size_t> basis_arena_;    ///< saved bases
   std::vector<double> costs_;
   std::vector<double> reduced_;
 };
@@ -570,12 +662,11 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
   ++lp_evaluations_;
   double objective;
   if (exact) {
-    // Leaves re-solve from scratch so the reported objective is
-    // bit-identical with what enumeration computes for the same order.
-    // The incremental state is still extended (snapshot + appended
-    // rows/columns, no re-optimization) so pop() and deeper pushes stay
-    // consistent — the next warm-started push's phase 1 repairs every
-    // outstanding artificial, not just its own.
+    // Re-solve from scratch so the reported objective is bit-identical
+    // with order_lp_objective for the same prefix.  The incremental state
+    // is still extended (snapshot, appended rows/columns and a feasible
+    // basis, no re-optimization) so pop() and deeper pushes stay
+    // consistent: the next warm-started push re-optimizes every position.
     lp_->push(task, /*solve=*/false);
     objective = order_lp_objective(*instance_, prefix_);
   } else {
@@ -583,8 +674,15 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
   }
   objectives_.push_back(objective);
   volumes_.push_back(prefix_volume() + instance_->task(task).volume);
-  profiles_.push_back(profiles_.back());
-  profiles_.back().place(instance_->effective_width(task),
+  // profiles_ keeps one slot per depth reached so far; copy-assigning into
+  // a used slot reuses its segment storage.
+  const std::size_t depth = prefix_.size();
+  if (profiles_.size() == depth) {
+    profiles_.push_back(profiles_[depth - 1]);
+  } else {
+    profiles_[depth] = profiles_[depth - 1];
+  }
+  profiles_[depth].place(instance_->effective_width(task),
                          instance_->task(task).volume);
   return objective;
 }
@@ -594,7 +692,6 @@ void OrderLpEvaluator::pop() {
   prefix_.pop_back();
   objectives_.pop_back();
   volumes_.pop_back();
-  profiles_.pop_back();
   lp_->pop();
 }
 
@@ -607,8 +704,8 @@ double OrderLpEvaluator::prefix_volume() const noexcept {
 }
 
 double OrderLpEvaluator::greedy_completion(std::size_t task) const {
-  return profiles_.back().peek(instance_->effective_width(task),
-                               instance_->task(task).volume);
+  return profiles_[prefix_.size()].peek(instance_->effective_width(task),
+                                        instance_->task(task).volume);
 }
 
 ExactOrderLpResult solve_order_lp_exact(const Instance& instance,

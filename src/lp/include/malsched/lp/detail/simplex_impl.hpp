@@ -316,11 +316,15 @@ class DenseSimplex {
     // recomputed value below, so pass a scratch accumulator.
     const SolveStatus status =
         iterate(reduced, value, column_count(), result.iterations);
-    if (status == SolveStatus::IterationLimit) {
+    // Phase 1 is bounded in exact arithmetic, but a near-degenerate tableau
+    // (e.g. a width of 1e-5·P) can lose its last positive ratio-test entry
+    // to the epsilon and report Unbounded.  That is a numerical breakdown of
+    // this solve, not a broken invariant: report it and let the caller
+    // treat the LP as unsolved.
+    if (status != SolveStatus::Optimal) {
       result.status = status;
       return false;
     }
-    MALSCHED_ASSERT(status == SolveStatus::Optimal);  // phase 1 is bounded
 
     // Recompute the phase-1 objective from the basis (robust against the
     // incremental accumulator drifting in double).

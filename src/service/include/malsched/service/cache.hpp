@@ -4,11 +4,19 @@
 /// Sharded LRU memo of canonical-space solve results, with size-aware
 /// eviction.
 ///
-/// Keys are `solver + '\n' + canonical_text(form)` strings; values are the
-/// solver output on the *canonical* instance, so one entry serves every
+/// Keys are `solver + '\n' + canonical_text(form)` byte strings; values are
+/// the solver output on the *canonical* instance, so one entry serves every
 /// scaled/permuted variant of the instance (the solve path denormalizes per
 /// request).  Striped mutexes keep concurrent workers from serializing on
 /// one lock; hit/miss/eviction counters feed the service telemetry.
+///
+/// Memory: an entry is one allocation holding its value and completions,
+/// indexed by a 128-bit SipHash-2-4 fingerprint of the key instead of the
+/// key bytes (a key is 8 + 24n bytes, more than the value it maps to).
+/// Two distinct keys share a fingerprint with probability 2^-128 per pair,
+/// far below any hardware error rate; a lookup that matched on such a
+/// collision would return the other key's value.  With intrusive LRU links
+/// and hash chains, an n = 8 entry costs ~170 bytes.
 ///
 /// Capacity is counted in *weight units*, not entries: an entry weighs
 /// 1 + completions.size(), so a memoized n = 500 solve costs ~500x the
@@ -36,15 +44,16 @@
 /// unaffected).  Off by default so the raw cache keeps its historical
 /// always-admit semantics; the scheduler turns it on for its owned cache.
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "malsched/service/tinylfu.hpp"
@@ -64,6 +73,52 @@ struct CachedSolve {
     const CachedSolve& value) noexcept {
   return 1 + value.completions.size();
 }
+
+namespace detail {
+
+/// SipHash-2-4 with 128-bit output (Aumasson & Bernstein) of `bytes` under
+/// the key (k0, k1); words little-endian, as in the reference vectors.
+[[nodiscard]] std::array<std::uint64_t, 2> siphash_2_4_128(
+    std::string_view bytes, std::uint64_t k0, std::uint64_t k1) noexcept;
+
+struct CacheNode;
+
+}  // namespace detail
+
+/// What a lookup returns: a read-only view of one entry's value, or null.
+/// The entry stays alive while any CacheHit refers to it, even after it is
+/// evicted, so hits are a reference-count bump, not a copy.
+class CacheHit {
+ public:
+  struct Value {
+    double objective = 0.0;
+    double makespan = 0.0;
+    std::span<const double> completions;  ///< indexed by canonical task id
+  };
+
+  CacheHit() noexcept = default;
+  CacheHit(std::nullptr_t) noexcept {}  // NOLINT: mirrors a null pointer
+  CacheHit(const CacheHit& other) noexcept;
+  CacheHit(CacheHit&& other) noexcept;
+  CacheHit& operator=(CacheHit other) noexcept;
+  ~CacheHit();
+
+  [[nodiscard]] const Value& operator*() const noexcept;
+  [[nodiscard]] const Value* operator->() const noexcept {
+    return &**this;
+  }
+  explicit operator bool() const noexcept { return node_ != nullptr; }
+  friend bool operator==(const CacheHit& hit, std::nullptr_t) noexcept {
+    return hit.node_ == nullptr;
+  }
+
+ private:
+  friend class ResultCache;
+  /// Takes a new reference to `node`.
+  explicit CacheHit(detail::CacheNode* node) noexcept;
+
+  detail::CacheNode* node_ = nullptr;
+};
 
 /// Construction knobs of ResultCache (the two-argument constructor remains
 /// for capacity-only callers).
@@ -112,21 +167,20 @@ class ResultCache {
   explicit ResultCache(std::size_t capacity, std::size_t shards = 8)
       : ResultCache(capacity_options(capacity, shards)) {}
   explicit ResultCache(const CacheOptions& options);
+  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Returns the cached value and refreshes its recency, or null (both
-  /// outcomes bump the counters).  Hits are a refcount bump, not a copy of
-  /// the completions vector, so readers of one shard don't serialize on
-  /// value size.
-  [[nodiscard]] std::shared_ptr<const CachedSolve> get(const std::string& key);
+  /// outcomes bump the counters).
+  [[nodiscard]] CacheHit get(std::string_view key);
 
   /// Inserts or refreshes `key`; evicts the shard's LRU entries until the
   /// shard is back under its weight budget.  With admission enabled, a new
   /// key that would evict a strictly more popular victim is dropped instead
   /// (counted in `rejected`); refreshes always proceed.
-  void put(const std::string& key, CachedSolve value);
+  void put(std::string_view key, const CachedSolve& value);
 
   [[nodiscard]] CacheStats stats() const;
   void clear();
@@ -138,17 +192,18 @@ class ResultCache {
   [[nodiscard]] bool has_admission() const noexcept { return admission_; }
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const CachedSolve> value;
-    std::size_t weight = 0;
-    /// Expiry deadline; meaningful only when the cache has a TTL.
-    std::chrono::steady_clock::time_point expires{};
+  struct Fingerprint {
+    std::uint64_t lo = 0;  ///< picks the shard; the TinyLFU key hash
+    std::uint64_t hi = 0;  ///< picks the hash chain within the shard
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    detail::CacheNode* head = nullptr;  ///< most recently used
+    detail::CacheNode* tail = nullptr;  ///< least recently used
+    /// Hash chains through CacheNode::chain, indexed by Fingerprint::hi;
+    /// the size doubles whenever the entries outnumber the chains.
+    std::vector<detail::CacheNode*> chains;
+    std::size_t entries = 0;
     std::size_t weight = 0;  ///< sum of entry weights
     /// Popularity filter over this shard's key stream; null when the cache
     /// runs without admission.  Guarded by `mutex` like the rest.
@@ -163,7 +218,15 @@ class ResultCache {
     return options;
   }
 
-  Shard& shard_for(std::size_t key_hash);
+  [[nodiscard]] static Fingerprint fingerprint(std::string_view key) noexcept;
+  Shard& shard_for(const Fingerprint& key) noexcept;
+  static detail::CacheNode* find(const Shard& shard, const Fingerprint& key);
+  static void link_front(Shard& shard, detail::CacheNode* node) noexcept;
+  static void unlink(Shard& shard, detail::CacheNode* node) noexcept;
+  static void insert(Shard& shard, detail::CacheNode* node);
+  /// Unlinks `node` from the chains and the LRU list and drops the cache's
+  /// reference; the memory goes once no CacheHit holds it.
+  static void remove(Shard& shard, detail::CacheNode* node) noexcept;
 
   std::vector<Shard> shards_;
   std::size_t per_shard_capacity_;

@@ -70,8 +70,9 @@ struct CanonicalForm {
   /// Σ w C (original) = objective_scale * Σ w C (canonical).
   double objective_scale = 1.0;
   /// Mixing hash of the canonical bit patterns: a fixed-width fingerprint
-  /// of the equivalence class (exact dedup uses `canonical_text`; the shard
-  /// ring hashes this for consistent-hash placement across workers).
+  /// of the equivalence class (the result cache keys on `canonical_text`;
+  /// the shard ring hashes this for consistent-hash placement across
+  /// workers).
   std::uint64_t key = 0;
 };
 
@@ -92,8 +93,10 @@ struct CanonicalOptions {
 [[nodiscard]] CanonicalForm canonicalize(const core::Instance& instance,
                                          const CanonicalOptions& options = {});
 
-/// Exact serialization of the canonical instance (hex float precision, so
-/// distinct canonical forms never collide in the cache map).
+/// Exact binary serialization of the canonical instance: n, then the raw
+/// bits of each task's (V, δ, w) with -0.0 normalized, 8 + 24n bytes.
+/// Distinct canonical forms never collide in the cache map.  Not text:
+/// the bytes may include NULs.
 [[nodiscard]] std::string canonical_text(const CanonicalForm& form);
 
 /// True when solving the canonical instance is numerically safe: rescaling

@@ -248,7 +248,8 @@ class Scheduler {
     /// caller keeps it alive and may share it across schedulers).
     ResultCache* cache = nullptr;
     /// Weight budget of the owned cache (see cache.hpp; ~1 unit per
-    /// completion time, so the default bounds it near 8 MB of doubles).
+    /// completion time).  An n = 8 entry weighs 9 units and occupies ~170
+    /// bytes, so the default holds ~116k of them in ~20 MB.
     std::size_t cache_capacity = std::size_t{1} << 20;
     /// Optional TTL of the owned cache, in seconds: entries older than this
     /// stop serving hits and are evicted lazily at lookup (cache.hpp).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <tuple>
 
@@ -159,20 +159,26 @@ CanonicalForm canonicalize(const core::Instance& instance,
 }
 
 std::string canonical_text(const CanonicalForm& form) {
-  // %a round-trips doubles exactly and compactly; the text is a cache map
-  // key, not meant for humans (io.hpp serves that purpose).
-  std::string text;
-  text.reserve(16 + form.instance.size() * 48);
-  char buffer[96];
-  std::snprintf(buffer, sizeof buffer, "n=%zu", form.instance.size());
-  text += buffer;
+  // Raw IEEE-754 bits, 8 + 24n bytes: the text is a cache map key, not
+  // meant for humans (io.hpp serves that purpose), and bit patterns are
+  // exact and a third the size of a hexfloat rendering.
+  const auto append = [](std::string& out, std::uint64_t bits) {
+    char bytes[sizeof bits];
+    std::memcpy(bytes, &bits, sizeof bits);
+    out.append(bytes, sizeof bytes);
+  };
   // Same -0.0 normalization as the hash mix, so the two zero encodings
   // share the exact key too.
-  const auto norm = [](double d) { return d == 0.0 ? 0.0 : d; };
+  const auto bits_of = [](double d) {
+    return std::bit_cast<std::uint64_t>(d == 0.0 ? 0.0 : d);
+  };
+  std::string text;
+  text.reserve(8 + 24 * form.instance.size());
+  append(text, form.instance.size());
   for (const core::Task& t : form.instance.tasks()) {
-    std::snprintf(buffer, sizeof buffer, ";%a,%a,%a", norm(t.volume),
-                  norm(t.width), norm(t.weight));
-    text += buffer;
+    append(text, bits_of(t.volume));
+    append(text, bits_of(t.width));
+    append(text, bits_of(t.weight));
   }
   return text;
 }

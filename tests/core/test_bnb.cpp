@@ -89,10 +89,12 @@ TEST(Bnb, MatchesEnumerationAcrossGeneratorFamilies) {
           << mc::family_name(family) << " rep " << rep << " n "
           << inst.size() << ": bnb " << bnb.objective << " vs enumeration "
           << enumerated.objective;
-      EXPECT_LT(relative_gap(mc::order_lp_objective(inst, bnb.order),
-                             enumerated.objective),
-                1e-6)
+      // Leaves are re-solved from scratch only when they can beat the
+      // incumbent, so the incumbent is always an exact order_lp_objective
+      // value: bit-identical, not merely close.
+      EXPECT_EQ(bnb.objective, mc::order_lp_objective(inst, bnb.order))
           << mc::family_name(family) << " rep " << rep;
+      EXPECT_LE(bnb.stats.leaf_resolves, bnb.stats.leaves);
     }
   }
 }
@@ -112,6 +114,10 @@ TEST(Bnb, DisabledPruningVisitsExactlyFactorialLeaves) {
   EXPECT_EQ(exhaustive.stats.leaves, factorial(inst.size()));
   EXPECT_EQ(exhaustive.stats.pruned_by_bound, 0u);
   EXPECT_EQ(exhaustive.stats.pruned_by_dominance, 0u);
+  // Every leaf is visited, and almost none comes within the re-solve
+  // margin of the incumbent.
+  EXPECT_GE(exhaustive.stats.leaf_resolves, 1u);
+  EXPECT_LT(exhaustive.stats.leaf_resolves, exhaustive.stats.leaves / 10);
 
   const auto enumerated = mc::optimal_by_enumeration(inst);
   EXPECT_LT(relative_gap(exhaustive.objective, enumerated.objective), 1e-6);

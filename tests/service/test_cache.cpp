@@ -65,6 +65,37 @@ TEST(Cache, PutReplacesExistingKey) {
   EXPECT_EQ(stats.weight, 5u);
 }
 
+TEST(Cache, SipHashMatchesTheReferenceVector) {
+  // SipHash-2-4-128 reference vector 0: key 00 01 .. 0f, empty message.
+  const auto digest = msvc::detail::siphash_2_4_128(
+      "", 0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL);
+  EXPECT_EQ(digest[0], 0xe6a825ba047f81a3ULL);
+  EXPECT_EQ(digest[1], 0x930255c71472f66dULL);
+}
+
+TEST(Cache, BinaryKeysWithEmbeddedNulsStayDistinct) {
+  msvc::ResultCache cache(64);
+  const std::string a("optimal\n\0\0\x01", 11);
+  const std::string b("optimal\n\0\0\x02", 11);
+  cache.put(a, value_of(1.0));
+  cache.put(b, value_of(2.0));
+  EXPECT_DOUBLE_EQ(cache.get(a)->objective, 1.0);
+  EXPECT_DOUBLE_EQ(cache.get(b)->objective, 2.0);
+  EXPECT_FALSE((cache.get(std::string("optimal\n\0", 9)) != nullptr));
+}
+
+TEST(Cache, HitOutlivesEvictionOfItsEntry) {
+  msvc::ResultCache cache(3, /*shards=*/1);
+  cache.put("a", value_of(4.0));
+  const auto hit = cache.get("a");
+  cache.put("b", value_of(5.0));  // evicts a while the hit still reads it
+  EXPECT_FALSE((cache.get("a") != nullptr));
+  ASSERT_TRUE(hit != nullptr);
+  EXPECT_DOUBLE_EQ(hit->objective, 4.0);
+  ASSERT_EQ(hit->completions.size(), 2u);
+  EXPECT_DOUBLE_EQ(hit->completions[1], 8.0);
+}
+
 TEST(Cache, LruEvictionOrder) {
   // One shard makes the LRU order deterministic and observable.  Weight-3
   // entries with capacity 6: room for exactly two.

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
 
+#include "malsched/core/generators.hpp"
+#include "malsched/core/io.hpp"
 #include "malsched/core/optimal.hpp"
 #include "malsched/sim/engine.hpp"
 #include "malsched/sim/policy.hpp"
@@ -54,6 +58,62 @@ TEST(Registry, OptimalDispatchMatchesEnumeration) {
   ASSERT_TRUE(result.ok()) << result.error().to_string();
   const auto direct = mc::optimal_by_enumeration(inst);
   EXPECT_NEAR(result.objective(), direct.objective, 1e-9);
+}
+
+TEST(Registry, OptimalMatchesEnumerationAtEverySmallSize) {
+  // `optimal` runs branch-and-bound at every n; the n! enumeration stays
+  // the oracle.  Both return the from-scratch order-LP value of their
+  // order, so they agree to LP precision.
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  malsched::support::Rng rng(20121);
+  for (const mc::Family family : mc::all_families()) {
+    for (std::size_t n = 2; n <= 7; ++n) {
+      mc::GeneratorConfig config;
+      config.family = family;
+      config.num_tasks = n;
+      config.processors = 4.0;
+      const auto inst = mc::generate(config, rng);
+      const auto served = registry.solve("optimal", inst);
+      ASSERT_TRUE(served.ok()) << served.error().to_string();
+      const auto enumerated = mc::optimal_by_enumeration(inst);
+      EXPECT_NEAR(served.objective(), enumerated.objective,
+                  1e-9 * std::max(1.0, std::fabs(enumerated.objective)))
+          << mc::family_name(family) << " n " << n;
+      EXPECT_EQ(served.completions().size(), n);
+    }
+  }
+}
+
+TEST(Registry, TinyWidthInstanceIsServedOrFailsTyped) {
+  // A width of 1e-5·P makes some order LPs break down in the simplex's
+  // phase 1.  That used to abort the process; now the order counts as
+  // unsolved and the exact solvers answer from the orders that did solve,
+  // or report a typed SolverFailure.
+  const std::string path = std::string(MALSCHED_DATA_DIR) + "/tiny_width.mls";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::string error;
+  const auto inst = mc::read_instance(in, &error);
+  ASSERT_TRUE(inst.has_value()) << error;
+
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  const auto served = registry.solve("optimal", *inst);
+  if (served.ok()) {
+    EXPECT_TRUE(std::isfinite(served.objective()));
+    EXPECT_EQ(served.completions().size(), inst->size());
+  } else {
+    EXPECT_EQ(served.error().code, msvc::ErrorCode::SolverFailure)
+        << served.error().to_string();
+  }
+
+  mc::OptimalOptions options;
+  options.want_schedule = true;
+  const auto enumerated = mc::optimal_by_enumeration(*inst, options);
+  EXPECT_EQ(enumerated.orders_tried, 720u);
+  if (served.ok() && std::isfinite(enumerated.objective)) {
+    EXPECT_NEAR(served.objective(), enumerated.objective,
+                1e-6 * std::max(1.0, enumerated.objective));
+  }
 }
 
 TEST(Registry, OptimalGuardsLargeInstances) {
